@@ -17,9 +17,12 @@
 //	                                 # and fail if the assessment path
 //	                                 # regressed >30% vs the baseline
 //
-// Every -benchjson snapshot is annotated with the recording machine
-// ("_hardware": CPU count, GOMAXPROCS, OS/arch), so a p=4 sweep from a
-// single-core container is distinguishable from a real multi-core run.
+// Every -benchjson key is one entry of the internal/bench registry;
+// `go test ./internal/bench -run '^$' -bench <family>` runs the same
+// body under the same name. Every snapshot is annotated with the
+// recording machine ("_hardware": CPU count, GOMAXPROCS, OS/arch), so a
+// p=4 sweep from a single-core container is distinguishable from a
+// real multi-core run.
 // -baseline compares against any earlier snapshot (annotated or not)
 // and exits non-zero when a benchmark in -families exceeds the
 // baseline ns/op by more than -tolerance.
@@ -33,11 +36,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/mdqa"
+	"repro/internal/bench"
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment ID to run (default: all); one of "+strings.Join(mdqa.ExperimentIDs(), ","))
+	exp := flag.String("exp", "", "experiment ID to run (default: all); one of "+strings.Join(bench.IDs(), ","))
 	scale := flag.String("scale", "", "comma-separated base sizes for an extended C1 scaling sweep")
 	benchJSON := flag.String("benchjson", "", "write the scaling benchmarks (name -> ns/op, allocs/op) to this JSON file; used to track the perf trajectory across PRs")
 	parallelism := flag.String("parallelism", "", "comma-separated worker-pool levels for a -benchjson parallel sweep (e.g. 1,2,4,8; 1 = sequential engine); a single value also works")
@@ -49,16 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *benchJSON != "" {
-		var results map[string]mdqa.PerfResult
-		var err error
-		if *parallelism != "" {
-			results, err = runBenchSweep(*benchJSON, *parallelism, *sizes)
-		} else {
-			results, err = runBenchJSON(*benchJSON, *sizes)
-		}
-		if err == nil && *durable {
-			err = addDurable(*benchJSON, results, *sizes, *parallelism)
-		}
+		results, err := runBenchJSON(*benchJSON, *sizes, *parallelism, *durable)
 		if err == nil && *baseline != "" {
 			err = compareBaseline(results, *baseline, *families, *tolerance)
 		}
@@ -86,14 +80,14 @@ func main() {
 		return
 	}
 
-	experiments := mdqa.Experiments()
+	experiments := bench.All()
 	if *exp != "" {
-		e, ok := mdqa.ExperimentByID(*exp)
+		e, ok := bench.ByID(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mdbench: unknown experiment %q (have %s)\n", *exp, strings.Join(mdqa.ExperimentIDs(), ", "))
+			fmt.Fprintf(os.Stderr, "mdbench: unknown experiment %q (have %s)\n", *exp, strings.Join(bench.IDs(), ", "))
 			os.Exit(1)
 		}
-		experiments = []mdqa.Experiment{e}
+		experiments = []bench.Experiment{e}
 	}
 	failed := 0
 	for _, e := range experiments {
@@ -123,82 +117,57 @@ func resolveSizes(spec string, def []int) ([]int, error) {
 	return sizes, nil
 }
 
-func runBenchJSON(path, sizeSpec string) (map[string]mdqa.PerfResult, error) {
-	sizes, err := resolveSizes(sizeSpec, []int{100, 400, 1600})
-	if err != nil {
-		return nil, err
-	}
-	results, err := mdqa.RunPerf(sizes)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range mdqa.PerfNames(results) {
-		r := results[name]
-		fmt.Printf("%-40s  %12d ns/op  %9d allocs/op  %10d B/op\n",
-			name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if err := mdqa.WritePerfJSON(path, results); err != nil {
-		return nil, err
-	}
-	fmt.Printf("wrote %s (%s)\n", path, describeHardware(mdqa.CurrentHardware()))
-	return results, nil
-}
-
-// runBenchSweep records the parallel speedup curve: every benchmark
-// family at the requested sizes crossed with the requested worker-pool
-// levels.
-func runBenchSweep(path, levels, sizeSpec string) (map[string]mdqa.PerfResult, error) {
-	ps, err := parseInts(levels)
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := resolveSizes(sizeSpec, []int{400, 1600})
-	if err != nil {
-		return nil, err
-	}
-	results, err := mdqa.RunPerfSweep(sizes, ps)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range mdqa.PerfNames(results) {
-		r := results[name]
-		fmt.Printf("%-45s  %12d ns/op  %9d allocs/op  %10d B/op\n",
-			name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if err := mdqa.WritePerfJSON(path, results); err != nil {
-		return nil, err
-	}
-	fmt.Printf("wrote %s (%s)\n", path, describeHardware(mdqa.CurrentHardware()))
-	return results, nil
-}
-
-// addDurable appends the durable warm-apply benchmarks (session apply
-// + WAL append at every fsync mode) to a fresh -benchjson snapshot and
-// rewrites the file with the merged results.
-func addDurable(path string, results map[string]mdqa.PerfResult, sizeSpec, levelSpec string) error {
+// runBenchJSON measures the registry a -benchjson run selects (the
+// default families, or the parallel sweep over -parallelism levels,
+// plus the durable family with -durable), prints the results and
+// writes them as a hardware-annotated snapshot.
+func runBenchJSON(path, sizeSpec, levelSpec string, durable bool) (map[string]bench.PerfResult, error) {
 	def := []int{100, 400, 1600}
 	if levelSpec != "" {
 		def = []int{400, 1600}
 	}
 	sizes, err := resolveSizes(sizeSpec, def)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	durable, err := mdqa.RunDurablePerf(sizes, []string{"always", "interval", "async"})
-	if err != nil {
-		return err
+	var entries []bench.Entry
+	if levelSpec == "" {
+		entries = bench.Default(sizes)
+	} else {
+		levels, err := parseInts(levelSpec)
+		if err != nil {
+			return nil, fmt.Errorf("bad -parallelism: %w", err)
+		}
+		entries = bench.Sweep(sizes, levels)
 	}
-	for _, name := range mdqa.PerfNames(durable) {
-		r := durable[name]
+	if durable {
+		dir, err := os.MkdirTemp("", "mdbench-durable-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		entries = append(entries, bench.Durable(sizes, dir)...)
+	}
+	results := map[string]bench.PerfResult{}
+	for _, e := range entries {
+		if results[e.Name], err = e.Measure(); err != nil {
+			return nil, err
+		}
+	}
+	for _, name := range bench.PerfNames(results) {
+		r := results[name]
 		fmt.Printf("%-45s  %12d ns/op  %9d allocs/op  %10d B/op\n",
 			name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		results[name] = r
 	}
-	return mdqa.WritePerfJSON(path, results)
+	if err := bench.WritePerfJSON(path, results); err != nil {
+		return nil, err
+	}
+	fmt.Printf("wrote %s (%s)\n", path, describeHardware(bench.CurrentHardware()))
+	return results, nil
 }
 
 // describeHardware renders the machine annotation for run logs.
-func describeHardware(hw mdqa.Hardware) string {
+func describeHardware(hw bench.Hardware) string {
 	return fmt.Sprintf("nproc=%d gomaxprocs=%d %s/%s", hw.NumCPU, hw.Gomaxprocs, hw.GoOS, hw.GoArch)
 }
 
@@ -207,12 +176,12 @@ func describeHardware(hw mdqa.Hardware) string {
 // benchmark families. Cross-machine comparisons are flagged — a CI
 // runner differs from the machine that recorded the baseline, which is
 // exactly why the tolerance is generous.
-func compareBaseline(results map[string]mdqa.PerfResult, baselinePath, familySpec string, tolerance float64) error {
-	baseline, hw, err := mdqa.ReadPerfJSON(baselinePath)
+func compareBaseline(results map[string]bench.PerfResult, baselinePath, familySpec string, tolerance float64) error {
+	baseline, hw, err := bench.ReadPerfJSON(baselinePath)
 	if err != nil {
 		return err
 	}
-	cur := mdqa.CurrentHardware()
+	cur := bench.CurrentHardware()
 	switch {
 	case hw == nil:
 		fmt.Printf("baseline %s has no hardware annotation (pre-PR 5 snapshot); current machine: %s\n",
@@ -227,7 +196,7 @@ func compareBaseline(results map[string]mdqa.PerfResult, baselinePath, familySpe
 			families = append(families, f)
 		}
 	}
-	regressions, compared := mdqa.ComparePerf(results, baseline, families, tolerance)
+	regressions, compared := bench.ComparePerf(results, baseline, families, tolerance)
 	if compared == 0 {
 		return fmt.Errorf("baseline comparison matched no benchmarks (families %s vs %s) — check -sizes/-parallelism against the baseline keys", familySpec, baselinePath)
 	}
@@ -259,7 +228,7 @@ func runScale(spec string) error {
 	if err != nil {
 		return fmt.Errorf("bad -scale: %w", err)
 	}
-	rows, err := mdqa.RunScaling(sizes)
+	rows, err := bench.RunScaling(sizes)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,10 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper (T1–T5, F1, F2) plus the complexity-claim
-// experiments (C1–C4) from DESIGN.md. cmd/mdbench drives it; the root
-// bench_test.go wraps each runner in a testing.B benchmark; tests
-// assert the expected shapes.
+// Package bench is the experiment and benchmark harness behind
+// cmd/mdbench: one runner per table and figure of the paper (T1–T5,
+// F1, F2) plus the complexity-claim experiments (C1–C4) from
+// DESIGN.md, the registry of timed benchmark bodies (registry.go) and
+// the BENCH_<n>.json snapshot format (perf.go). Tests assert the
+// expected shapes; the package's go test -bench functions run the
+// experiments and the registry.
 package bench
 
 import (
@@ -274,38 +276,26 @@ type ScaleRow struct {
 func RunScaling(sizes []int) ([]ScaleRow, error) {
 	var rows []ScaleRow
 	for _, n := range sizes {
-		spec := gen.ChainSpec{
-			Dim:    gen.DimensionSpec{Name: "S", Levels: 3, Fanout: 8, BaseMembers: 64},
-			Tuples: n,
-			Upward: true,
-			Seed:   42,
-		}
-		o, err := gen.ChainOntology(spec)
+		prog, db, q, err := scalingWorkload(n)
 		if err != nil {
 			return nil, err
 		}
-		comp, err := o.Compile(core.CompileOptions{})
-		if err != nil {
-			return nil, err
-		}
-		q := datalog.NewQuery(datalog.A("Q", datalog.V("c")),
-			datalog.A(gen.UpRelName(2), datalog.V("c"), datalog.C("v0")))
 
 		start := time.Now()
-		res, err := chase.Run(context.Background(), comp.Program, comp.Instance, chase.Options{})
+		res, err := chase.Run(context.Background(), prog, db, chase.Options{})
 		if err != nil {
 			return nil, err
 		}
 		chaseT := time.Since(start)
 
 		start = time.Now()
-		if _, err := qa.Answer(context.Background(), comp.Program, comp.Instance, q, qa.Options{}); err != nil {
+		if _, err := qa.Answer(context.Background(), prog, db, q, qa.Options{}); err != nil {
 			return nil, err
 		}
 		detT := time.Since(start)
 
 		start = time.Now()
-		if _, err := rewrite.Answer(context.Background(), comp.Program, comp.Instance, q, rewrite.Options{}); err != nil {
+		if _, err := rewrite.Answer(context.Background(), prog, db, q, rewrite.Options{}); err != nil {
 			return nil, err
 		}
 		rewT := time.Since(start)

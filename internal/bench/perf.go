@@ -1,22 +1,12 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
-	"testing"
-
-	"repro/internal/chase"
-	"repro/internal/core"
-	"repro/internal/datalog"
-	"repro/internal/gen"
-	"repro/internal/qa"
-	"repro/internal/quality"
-	"repro/internal/storage"
 )
 
 // PerfResult is one benchmark measurement in machine-readable form.
@@ -24,274 +14,6 @@ type PerfResult struct {
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-}
-
-// ScalingWorkload builds the C1 chain workload used by the scaling
-// benchmarks — the single source of truth for the spec, shared with
-// the root bench_test.go so `go test -bench` numbers and the
-// BENCH_<n>.json snapshots measure the same workload.
-func ScalingWorkload(n int) (*datalog.Program, *storage.Instance, *datalog.Query, error) {
-	spec := gen.ChainSpec{
-		Dim:    gen.DimensionSpec{Name: "S", Levels: 3, Fanout: 8, BaseMembers: 64},
-		Tuples: n,
-		Upward: true,
-		Seed:   42,
-	}
-	o, err := gen.ChainOntology(spec)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	comp, err := o.Compile(core.CompileOptions{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	q := datalog.NewQuery(datalog.A("Q", datalog.V("c")),
-		datalog.A(gen.UpRelName(2), datalog.V("c"), datalog.C("v0")))
-	return comp.Program, comp.Instance, q, nil
-}
-
-// WarmResetTicks is how many delta ticks the warm-assessment
-// benchmarks apply to one session before rebuilding it off-timer:
-// enough to amortize, few enough that the instance stays near its
-// nominal size while the benchmark harness scales iterations.
-const WarmResetTicks = 10
-
-// StreamWorkloadSpec is the streaming quality workload at n total
-// measurements with a ~1% delta tick — the single source of truth for
-// the cold/warm assessment benchmarks, shared with the root
-// bench_test.go so `go test -bench` numbers and the BENCH_<n>.json
-// snapshots measure the same workload.
-func StreamWorkloadSpec(n int) gen.StreamSpec {
-	tick := n / 400 // 1% of n measurements, at 4 days per patient
-	if tick < 1 {
-		tick = 1
-	}
-	return gen.StreamSpec{
-		Base:         gen.QualitySpec{Patients: n / 4, Days: 4, Wards: 3, DirtyRatio: 0.5, Seed: 11},
-		TickPatients: tick,
-	}
-}
-
-// RunPerf measures the chase and chase-based-QA scaling benchmarks at
-// the given base sizes via testing.Benchmark, keyed by the same names
-// `go test -bench` reports, so the emitted JSON is comparable with the
-// testing output across PRs.
-func RunPerf(sizes []int) (map[string]PerfResult, error) {
-	out := map[string]PerfResult{}
-	for _, n := range sizes {
-		prog, db, q, err := ScalingWorkload(n)
-		if err != nil {
-			return nil, err
-		}
-		var benchErr error
-		chaseRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := chase.Run(context.Background(), prog, db, chase.Options{})
-				if err != nil || !res.Saturated {
-					benchErr = fmt.Errorf("chase failed at n=%d: %v", n, err)
-					return
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		out[fmt.Sprintf("BenchmarkScaling_Chase/n=%d", n)] = ToPerfResult(chaseRes)
-
-		qaRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := qa.CertainAnswersViaChase(context.Background(), prog, db, q, qa.ChaseOptions{}); err != nil {
-					benchErr = fmt.Errorf("qa failed at n=%d: %v", n, err)
-					return
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		out[fmt.Sprintf("BenchmarkScaling_QA/n=%d", n)] = ToPerfResult(qaRes)
-
-		wl, err := gen.NewStreamingWorkload(StreamWorkloadSpec(n))
-		if err != nil {
-			return nil, err
-		}
-		prep, err := wl.Base.Context.Prepare(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		coldRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a, err := wl.Base.Context.Assess(context.Background(), wl.Base.Instance)
-				if err != nil || a.Versions["Measurements"].Len() != wl.Base.ExpectedClean {
-					benchErr = fmt.Errorf("cold assess failed at n=%d: %v", n, err)
-					return
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		out[fmt.Sprintf("BenchmarkColdAssess/n=%d", n)] = ToPerfResult(coldRes)
-
-		ctx := context.Background()
-		warmRes := testing.Benchmark(func(b *testing.B) {
-			sess, err := prep.NewSession(context.Background(), wl.Base.Instance)
-			if err != nil {
-				benchErr = err
-				return
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			// Rebuild the session (off-timer) every few ticks so the
-			// measured instance stays near n instead of growing with
-			// b.N.
-			tick := 0
-			for i := 0; i < b.N; i++ {
-				if tick == WarmResetTicks {
-					b.StopTimer()
-					sess, err = prep.NewSession(context.Background(), wl.Base.Instance)
-					if err != nil {
-						benchErr = err
-						return
-					}
-					tick = 0
-					b.StartTimer()
-				}
-				delta, _ := wl.Tick(tick)
-				tick++
-				if _, err := sess.Apply(ctx, delta); err != nil {
-					benchErr = fmt.Errorf("warm assess failed at n=%d: %v", n, err)
-					return
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		out[fmt.Sprintf("BenchmarkWarmAssess/n=%d", n)] = ToPerfResult(warmRes)
-	}
-	return out, nil
-}
-
-// RunPerfSweep measures the parallel scaling sweep: the chase scaling
-// benchmark and the cold/warm assessment pair at every requested
-// parallelism level, keyed "<name>/n=<size>/p=<level>" so one
-// BENCH_<n>.json records the whole parallel-vs-sequential curve.
-// Level 1 is the exact sequential engine; level 0 resolves to
-// GOMAXPROCS.
-func RunPerfSweep(sizes, levels []int) (map[string]PerfResult, error) {
-	out := map[string]PerfResult{}
-	ctx := context.Background()
-	for _, n := range sizes {
-		prog, db, _, err := ScalingWorkload(n)
-		if err != nil {
-			return nil, err
-		}
-		wl, err := gen.NewStreamingWorkload(StreamWorkloadSpec(n))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range levels {
-			var benchErr error
-			chaseRes := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := chase.Run(ctx, prog, db, chase.Options{Parallelism: p})
-					if err != nil {
-						benchErr = fmt.Errorf("chase failed at n=%d p=%d: %v", n, p, err)
-						return
-					}
-					if !res.Saturated {
-						benchErr = fmt.Errorf("chase did not saturate at n=%d p=%d", n, p)
-						return
-					}
-				}
-			})
-			if benchErr != nil {
-				return nil, benchErr
-			}
-			out[fmt.Sprintf("BenchmarkScaling_Chase/n=%d/p=%d", n, p)] = ToPerfResult(chaseRes)
-
-			// A fresh context per level: parallelism is fixed at
-			// construction and the compilation cache is per context.
-			cfg := wl.Base.Config
-			cfg.Parallelism = p
-			qc, err := quality.NewContext(wl.Base.Ontology, cfg)
-			if err != nil {
-				return nil, err
-			}
-			prep, err := qc.Prepare(ctx)
-			if err != nil {
-				return nil, err
-			}
-			coldRes := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a, err := qc.Assess(ctx, wl.Base.Instance)
-					if err != nil {
-						benchErr = fmt.Errorf("cold assess failed at n=%d p=%d: %v", n, p, err)
-						return
-					}
-					if got := a.Versions["Measurements"].Len(); got != wl.Base.ExpectedClean {
-						benchErr = fmt.Errorf("cold assess wrong at n=%d p=%d: clean=%d, want %d", n, p, got, wl.Base.ExpectedClean)
-						return
-					}
-				}
-			})
-			if benchErr != nil {
-				return nil, benchErr
-			}
-			out[fmt.Sprintf("BenchmarkColdAssess/n=%d/p=%d", n, p)] = ToPerfResult(coldRes)
-
-			warmRes := testing.Benchmark(func(b *testing.B) {
-				sess, err := prep.NewSession(ctx, wl.Base.Instance)
-				if err != nil {
-					benchErr = err
-					return
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				tick := 0
-				for i := 0; i < b.N; i++ {
-					if tick == WarmResetTicks {
-						b.StopTimer()
-						sess, err = prep.NewSession(ctx, wl.Base.Instance)
-						if err != nil {
-							benchErr = err
-							return
-						}
-						tick = 0
-						b.StartTimer()
-					}
-					delta, _ := wl.Tick(tick)
-					tick++
-					if _, err := sess.Apply(ctx, delta); err != nil {
-						benchErr = fmt.Errorf("warm assess failed at n=%d p=%d: %v", n, p, err)
-						return
-					}
-				}
-			})
-			if benchErr != nil {
-				return nil, benchErr
-			}
-			out[fmt.Sprintf("BenchmarkWarmAssess/n=%d/p=%d", n, p)] = ToPerfResult(warmRes)
-		}
-	}
-	return out, nil
-}
-
-// ToPerfResult converts a testing result to the JSON snapshot shape;
-// every benchmark family recorded in BENCH_<n>.json (including the
-// facade benchmarks in mdqa) goes through this one converter.
-func ToPerfResult(r testing.BenchmarkResult) PerfResult {
-	return PerfResult{
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
 }
 
 // Hardware identifies the machine a BENCH_<n>.json snapshot was

@@ -1,10 +1,11 @@
-// Package repro's root benchmark suite: one testing.B benchmark per
-// paper table and figure (see DESIGN.md's experiment index), the
-// scaling experiments behind the complexity claims, and the ablation
-// benchmarks for the design choices called out in DESIGN.md.
+package bench
+
+// The benchmarks outside the BENCH registry: one per paper table and
+// figure (see DESIGN.md's experiment index), the C1–C4 experiments'
+// remaining loops, and the ablations of the design choices DESIGN.md
+// calls out.
 //
-// Run with: go test ./internal/benchsuite -bench=. -benchmem
-package benchsuite
+//	go test ./internal/bench -run '^$' -bench . -benchmem
 
 import (
 	"context"
@@ -12,7 +13,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/datalog"
@@ -27,7 +27,7 @@ import (
 // benchExperiment runs one harness experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, ok := bench.ByID(id)
+	e, ok := ByID(id)
 	if !ok {
 		b.Fatalf("experiment %s missing", id)
 	}
@@ -54,45 +54,11 @@ func BenchmarkFig2_ContextPipeline(b *testing.B)       { benchExperiment(b, "F2"
 
 func scalingSetup(b *testing.B, n int) (*datalog.Program, *storage.Instance, *datalog.Query) {
 	b.Helper()
-	prog, db, q, err := bench.ScalingWorkload(n)
+	prog, db, q, err := scalingWorkload(n)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return prog, db, q
-}
-
-func BenchmarkScaling_Chase(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			prog, db, _ := scalingSetup(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := chase.Run(context.Background(), prog, db, chase.Options{})
-				if err != nil || !res.Saturated {
-					b.Fatalf("chase failed: %v", err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScaling_QA measures chase-based certain-answer computation
-// (chase to saturation + query evaluation over the result), the hot
-// path behind WeaklyStickyQAns and the quality-assessment pipeline.
-func BenchmarkScaling_QA(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			prog, db, q := scalingSetup(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := qa.CertainAnswersViaChase(context.Background(), prog, db, q, qa.ChaseOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkScaling_DetQA(b *testing.B) {
@@ -187,83 +153,6 @@ func BenchmarkQualityMeasure_Sweep(b *testing.B) {
 				}
 				if a.Versions["Measurements"].Len() != wl.ExpectedClean {
 					b.Fatal("wrong clean count")
-				}
-			}
-		})
-	}
-}
-
-// ---- C5: prepared sessions — cold vs warm assessment ----
-
-// BenchmarkColdAssess measures a from-scratch assessment (session
-// build: merge + full chase + full eval + measures) of the streaming
-// workload's base instance at n total measurements. Compilation is
-// prepared once outside the loop, so the number isolates the per-
-// request work a session amortizes.
-func BenchmarkColdAssess(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := wl.Base.Context.Prepare(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a, err := wl.Base.Context.Assess(context.Background(), wl.Base.Instance)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if a.Versions["Measurements"].Len() != wl.Base.ExpectedClean {
-					b.Fatal("wrong clean count")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWarmAssess measures Session.Apply of a ~1% delta tick
-// against a prepared, already-saturated session — the steady-state
-// cost of keeping quality versions current as data streams in.
-func BenchmarkWarmAssess(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep, err := wl.Base.Context.Prepare(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := prep.NewSession(context.Background(), wl.Base.Instance)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			// The session is rebuilt (off-timer) every few ticks so the
-			// measured instance stays near n instead of growing with
-			// b.N — the number is the steady-state cost of one tick.
-			tick := 0
-			for i := 0; i < b.N; i++ {
-				if tick == bench.WarmResetTicks {
-					b.StopTimer()
-					sess, err = prep.NewSession(context.Background(), wl.Base.Instance)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tick = 0
-					b.StartTimer()
-				}
-				delta, _ := wl.Tick(tick)
-				tick++
-				if _, err := sess.Apply(ctx, delta); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

@@ -54,6 +54,12 @@ func (p Pool) Sequential() bool { return p.Width() == 1 }
 // order across workers is unspecified; callers that need determinism
 // collect per-task results and merge them in task order afterwards.
 // A sequential pool (or n <= 1) runs every task inline.
+//
+// A panicking task stops the hand-out of further tasks, and Run
+// re-panics with the first panic value on the caller goroutine once
+// every worker has returned, so a panic behaves the same at every
+// width: it unwinds the caller (where, say, net/http confines it to
+// one request) instead of killing the process from a worker.
 func (p Pool) Run(n int, fn func(task int)) {
 	if n <= 0 {
 		return
@@ -70,10 +76,18 @@ func (p Pool) Run(n int, fn func(task int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var first sync.Once
+	var failure any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					next.Store(int64(n))
+					first.Do(func() { failure = r })
+				}
+			}()
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= n {
@@ -84,6 +98,9 @@ func (p Pool) Run(n int, fn func(task int)) {
 		}()
 	}
 	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // Map runs fn for tasks 0..n-1 on the pool and collects the per-task

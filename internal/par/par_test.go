@@ -43,6 +43,23 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	}
 }
 
+// TestRunRepanicsOnCaller pins that a task panic at width 2 unwinds
+// the caller goroutine, as it does at width 1, instead of killing the
+// process from a worker goroutine.
+func TestRunRepanicsOnCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "task 1" {
+			t.Fatalf("recovered %v, want task 1's panic value", r)
+		}
+	}()
+	New(2).Run(4, func(task int) {
+		if task == 1 {
+			panic("task 1")
+		}
+	})
+	t.Fatal("Run returned normally after a task panicked")
+}
+
 func TestChunksCoverInOrder(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 17, 100} {
 		for _, parts := range []int{0, 1, 2, 4, 7, 150} {
