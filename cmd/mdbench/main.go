@@ -12,10 +12,11 @@
 //	                                 # parallel sweep: chase + cold/warm
 //	                                 # assessment at each worker-pool level
 //	mdbench -benchjson BENCH_ci.json -sizes 400 -parallelism 1 \
-//	        -baseline BENCH_4.json -tolerance 0.30
+//	        -baseline BENCH_10.json,BENCH_13.json -tolerance 0.30
 //	                                 # CI smoke: record a small snapshot
 //	                                 # and fail if the assessment path
-//	                                 # regressed >30% vs the baseline
+//	                                 # regressed >30% vs the best
+//	                                 # value on record
 //
 // Every -benchjson key is one entry of the internal/bench registry;
 // `go test ./internal/bench -run '^$' -bench <family>` runs the same
@@ -23,9 +24,10 @@
 // recording machine ("_hardware": CPU count, GOMAXPROCS, OS/arch), so a
 // p=4 sweep from a single-core container is distinguishable from a
 // real multi-core run.
-// -baseline compares against any earlier snapshot (annotated or not)
-// and exits non-zero when a benchmark in -families exceeds the
-// baseline ns/op by more than -tolerance.
+// -baseline compares against earlier snapshots (annotated or not; a
+// comma-separated list compares each key against its lowest ns/op
+// across the files) and exits non-zero when a benchmark in -families
+// exceeds that ns/op by more than -tolerance.
 package main
 
 import (
@@ -45,7 +47,7 @@ func main() {
 	benchJSON := flag.String("benchjson", "", "write the scaling benchmarks (name -> ns/op, allocs/op) to this JSON file; used to track the perf trajectory across PRs")
 	parallelism := flag.String("parallelism", "", "comma-separated worker-pool levels for a -benchjson parallel sweep (e.g. 1,2,4,8; 1 = sequential engine); a single value also works")
 	sizes := flag.String("sizes", "", "comma-separated base sizes for -benchjson runs (default: 100,400,1600; sweep default: 400,1600)")
-	baseline := flag.String("baseline", "", "earlier BENCH_<n>.json to compare the fresh -benchjson snapshot against; regressions beyond -tolerance fail the run")
+	baseline := flag.String("baseline", "", "comma-separated earlier BENCH_<n>.json files to compare the fresh -benchjson snapshot against, each key against its lowest ns/op across them; regressions beyond -tolerance fail the run")
 	tolerance := flag.Float64("tolerance", 0.30, "allowed ns/op slowdown vs -baseline (0.30 = +30%)")
 	families := flag.String("families", "BenchmarkColdAssess,BenchmarkWarmAssess", "comma-separated benchmark-name prefixes the -baseline comparison guards")
 	durable := flag.Bool("durable", false, "with -benchjson: also measure the durable warm-apply path (session apply + WAL append) at every fsync mode")
@@ -172,23 +174,31 @@ func describeHardware(hw bench.Hardware) string {
 }
 
 // compareBaseline guards the banked perf wins: the fresh results must
-// stay within tolerance of the baseline snapshot for the guarded
+// stay within tolerance of the best value on record — each key's
+// lowest ns/op across the baseline snapshots — for the guarded
 // benchmark families. Cross-machine comparisons are flagged — a CI
 // runner differs from the machine that recorded the baseline, which is
 // exactly why the tolerance is generous.
-func compareBaseline(results map[string]bench.PerfResult, baselinePath, familySpec string, tolerance float64) error {
-	baseline, hw, err := bench.ReadPerfJSON(baselinePath)
-	if err != nil {
-		return err
-	}
+func compareBaseline(results map[string]bench.PerfResult, baselineSpec, familySpec string, tolerance float64) error {
 	cur := bench.CurrentHardware()
-	switch {
-	case hw == nil:
-		fmt.Printf("baseline %s has no hardware annotation (pre-PR 5 snapshot); current machine: %s\n",
-			baselinePath, describeHardware(cur))
-	case hw.NumCPU != cur.NumCPU:
-		fmt.Printf("baseline %s recorded on %s, comparing on %s: parallel numbers are not directly comparable\n",
-			baselinePath, describeHardware(*hw), describeHardware(cur))
+	var snapshots []map[string]bench.PerfResult
+	for _, path := range strings.Split(baselineSpec, ",") {
+		if path = strings.TrimSpace(path); path == "" {
+			continue
+		}
+		snap, hw, err := bench.ReadPerfJSON(path)
+		if err != nil {
+			return err
+		}
+		switch {
+		case hw == nil:
+			fmt.Printf("baseline %s has no hardware annotation (pre-PR 5 snapshot); current machine: %s\n",
+				path, describeHardware(cur))
+		case hw.NumCPU != cur.NumCPU:
+			fmt.Printf("baseline %s recorded on %s, comparing on %s: parallel numbers are not directly comparable\n",
+				path, describeHardware(*hw), describeHardware(cur))
+		}
+		snapshots = append(snapshots, snap)
 	}
 	var families []string
 	for _, f := range strings.Split(familySpec, ",") {
@@ -196,16 +206,16 @@ func compareBaseline(results map[string]bench.PerfResult, baselinePath, familySp
 			families = append(families, f)
 		}
 	}
-	regressions, compared := bench.ComparePerf(results, baseline, families, tolerance)
+	regressions, compared := bench.ComparePerf(results, bench.BestPerf(snapshots...), families, tolerance)
 	if compared == 0 {
-		return fmt.Errorf("baseline comparison matched no benchmarks (families %s vs %s) — check -sizes/-parallelism against the baseline keys", familySpec, baselinePath)
+		return fmt.Errorf("baseline comparison matched no benchmarks (families %s vs %s) — check -sizes/-parallelism against the baseline keys", familySpec, baselineSpec)
 	}
-	fmt.Printf("baseline check: %d benchmarks compared against %s, tolerance +%.0f%%\n", compared, baselinePath, tolerance*100)
+	fmt.Printf("baseline check: %d benchmarks compared against the best of %s, tolerance +%.0f%%\n", compared, baselineSpec, tolerance*100)
 	if len(regressions) > 0 {
 		for _, r := range regressions {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", r)
 		}
-		return fmt.Errorf("%d benchmark(s) regressed beyond +%.0f%% vs %s", len(regressions), tolerance*100, baselinePath)
+		return fmt.Errorf("%d benchmark(s) regressed beyond +%.0f%% vs the best of %s", len(regressions), tolerance*100, baselineSpec)
 	}
 	return nil
 }

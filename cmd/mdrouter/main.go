@@ -60,6 +60,29 @@ func main() {
 	}
 }
 
+// Connection timeouts. ReadHeaderTimeout bounds how long a client may
+// take to send its request headers, so slow or stalled clients cannot
+// pin connections; IdleTimeout closes keep-alive connections only
+// after a pause far longer than any load generator leaves between
+// requests. There is deliberately no ReadTimeout or WriteTimeout:
+// NDJSON apply and answer bodies stream for as long as they run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the listener configuration: handler h on addr, with
+// every request context derived from base.
+func newHTTPServer(addr string, h http.Handler, base context.Context) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("mdrouter", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "listen address")
@@ -99,11 +122,7 @@ func run(ctx context.Context, args []string) error {
 	defer reqCancel()
 	go rt.Start(reqCtx)
 
-	hs := &http.Server{
-		Addr:        *addr,
-		Handler:     rt,
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
+	hs := newHTTPServer(*addr, rt, reqCtx)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

@@ -140,6 +140,29 @@ func main() {
 	}
 }
 
+// Connection timeouts. ReadHeaderTimeout bounds how long a client may
+// take to send its request headers, so slow or stalled clients cannot
+// pin connections; IdleTimeout closes keep-alive connections only
+// after a pause far longer than any load generator leaves between
+// requests. There is deliberately no ReadTimeout or WriteTimeout:
+// NDJSON apply and answer bodies stream for as long as they run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the listener configuration: handler h on addr, with
+// every request context derived from base.
+func newHTTPServer(addr string, h http.Handler, base context.Context) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("mdserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -153,7 +176,7 @@ func run(ctx context.Context, args []string) error {
 	snapshotEvery := fs.Int("snapshot-every", 0, "apply batches per session WAL before compaction into a snapshot (0 = default)")
 	maxResident := fs.Int("max-resident-sessions", 0, "sessions kept saturated in memory; least-recently-used beyond this are evicted to disk (0 = all, needs -data-dir)")
 	historyDepth := fs.Int("history-depth", 0, "version snapshots retained in memory per session for as-of reads (0 = default, negative = disable history)")
-	historyBytes := fs.Int64("history-bytes", 0, "estimated memory cap for each session's retained version snapshots (0 = bounded by -history-depth alone)")
+	historyBytes := fs.Int64("history-bytes", 0, "cap on the memory each session's retained version snapshots keep alive beyond its live state, in bytes (0 = bounded by -history-depth alone)")
 	var sources contextFlags
 	fs.Var(&sources, "context", "quality context to serve, as name=path.mdq (repeatable)")
 	var liveSources sourceFlags
@@ -241,11 +264,7 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("mdserve: polling live sources every %s", *sourceRefresh)
 		go srv.RefreshLoop(reqCtx, *sourceRefresh)
 	}
-	hs := &http.Server{
-		Addr:        *addr,
-		Handler:     srv,
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
+	hs := newHTTPServer(*addr, srv, reqCtx)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

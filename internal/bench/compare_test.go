@@ -105,3 +105,49 @@ func TestComparePerf(t *testing.T) {
 		t.Fatalf("unmatched keys must not count: regs=%v compared=%d", regs, compared)
 	}
 }
+
+// TestComparePerfBestOf pins the best-of rule behind a multi-file
+// -baseline: each key is held to its lowest ns/op across the
+// snapshots, so a slow number recorded later (or earlier) cannot
+// loosen the gate.
+func TestComparePerfBestOf(t *testing.T) {
+	older := map[string]PerfResult{
+		"BenchmarkWarmAssess/n=400/p=1": {NsPerOp: 100},
+		"BenchmarkColdAssess/n=400/p=1": {NsPerOp: 1000},
+		"BenchmarkAsOfAnswers/n=400":    {NsPerOp: 0}, // no value on record here
+	}
+	newer := map[string]PerfResult{
+		"BenchmarkWarmAssess/n=400/p=1": {NsPerOp: 1500}, // a regression that entered the record
+		"BenchmarkColdAssess/n=400/p=1": {NsPerOp: 600},  // a win
+		"BenchmarkAsOfAnswers/n=400":    {NsPerOp: 50},
+	}
+	best := BestPerf(older, newer)
+	for name, want := range map[string]int64{
+		"BenchmarkWarmAssess/n=400/p=1": 100,
+		"BenchmarkColdAssess/n=400/p=1": 600,
+		"BenchmarkAsOfAnswers/n=400":    50,
+	} {
+		if got := best[name].NsPerOp; got != want {
+			t.Errorf("best %s = %d ns/op, want %d", name, got, want)
+		}
+	}
+	// 900 ns/op on ColdAssess passes against the older file alone but
+	// regresses against the better newer one; 1200 on WarmAssess passes
+	// against the newer file alone but not against the older one.
+	current := map[string]PerfResult{
+		"BenchmarkWarmAssess/n=400/p=1": {NsPerOp: 1200},
+		"BenchmarkColdAssess/n=400/p=1": {NsPerOp: 900},
+		"BenchmarkAsOfAnswers/n=400":    {NsPerOp: 55},
+	}
+	families := []string{"BenchmarkWarmAssess", "BenchmarkColdAssess", "BenchmarkAsOfAnswers"}
+	regs, compared := ComparePerf(current, best, families, 0.30)
+	if compared != 3 {
+		t.Fatalf("compared %d keys, want 3", compared)
+	}
+	if len(regs) != 2 || regs[0].Name != "BenchmarkWarmAssess/n=400/p=1" || regs[1].Name != "BenchmarkColdAssess/n=400/p=1" {
+		t.Fatalf("want WarmAssess then ColdAssess regressed against the best on record, got %v", regs)
+	}
+	if regs[1].BaselineNs != 600 {
+		t.Fatalf("ColdAssess judged against %d ns/op, want the best 600", regs[1].BaselineNs)
+	}
+}

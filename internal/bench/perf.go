@@ -110,6 +110,25 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: %d ns/op vs baseline %d ns/op (%.2fx)", r.Name, r.CurrentNs, r.BaselineNs, r.Ratio)
 }
 
+// BestPerf merges baseline snapshots into one baseline holding, for
+// every key, the result with the lowest positive ns/op across them —
+// the best value on record, so a slowdown that entered one snapshot
+// cannot become the bar later runs are held to.
+func BestPerf(snapshots ...map[string]PerfResult) map[string]PerfResult {
+	best := map[string]PerfResult{}
+	for _, snap := range snapshots {
+		for name, r := range snap {
+			if r.NsPerOp <= 0 {
+				continue
+			}
+			if b, ok := best[name]; !ok || r.NsPerOp < b.NsPerOp {
+				best[name] = r
+			}
+		}
+	}
+	return best
+}
+
 // ComparePerf checks current results against a baseline snapshot: for
 // every key present in both whose name starts with one of the family
 // prefixes, the current ns/op may exceed the baseline by at most

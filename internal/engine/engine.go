@@ -15,10 +15,10 @@
 //     against the delta frontier (chase.State.Extend) and the derived
 //     quality layer grows incrementally (eval.State.Extend) instead
 //     of being recomputed from scratch;
-//   - Session.Snapshot() hands concurrent readers a frozen
-//     copy-on-write view of the full contextual instance, consistent
-//     as of the last Apply, while the single writer keeps applying
-//     deltas.
+//   - Session.Snapshot() hands concurrent readers a frozen view of
+//     the full contextual instance, consistent as of the last Apply,
+//     while the single writer keeps applying deltas; a view is a row
+//     watermark over storage the writer only appends to.
 //
 // The quality package's Context.Assess is a thin wrapper over a
 // one-shot session; cmd/mdq and the benchmarks build on the same
@@ -183,6 +183,11 @@ type Session struct {
 	planLens   map[string]int
 	needReplan bool
 	replans    int64
+	// view is the frozen view of the current state, taken on the first
+	// read after a change and shared by every reader (and the history
+	// ring) until the next Apply, so the storage layer charges the
+	// structures the writer replaces to the view the ring holds.
+	view *storage.Instance
 }
 
 // rebuildEval recomputes the derived layer from the chased instance,
@@ -198,7 +203,9 @@ func (s *Session) rebuildEval(ctx context.Context) error {
 		s.eval = eval.NewState(s.prep.strata, inst)
 		s.eval.SetParallelism(s.prep.pool.Width())
 	} else {
+		old := s.eval.Instance()
 		s.eval.Reset(inst)
+		old.Retire() // views of the replaced layer now hold it alone
 	}
 	return s.eval.Init(ctx)
 }
@@ -232,10 +239,12 @@ type ApplyResult struct {
 // an incremental chase from the delta frontier, then an incremental
 // (or, when incrementality is unsound, rebuilt) derived layer. It is
 // the only mutating entry point; readers holding earlier snapshots are
-// unaffected (copy-on-write).
+// unaffected (a snapshot is a row watermark over storage the writer
+// only appends to).
 func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.view = nil
 
 	replanned := false
 	if s.needReplan {
@@ -387,15 +396,35 @@ func (s *Session) Replans() int64 {
 
 // Snapshot returns a frozen, consistent view of the full contextual
 // instance (chased facts plus the derived layer) as of the last Apply.
-// Snapshots are cheap (copy-on-write) and safe to read from any number
-// of goroutines while the writer keeps applying deltas.
+// Snapshots are safe to read from any number of goroutines while the
+// writer keeps applying deltas. The first after an Apply costs
+// O(relations + interned terms); later ones return the same view, and
+// the next Apply costs what it would without any.
 func (s *Session) Snapshot() *storage.Instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eval != nil {
-		return s.eval.Instance().Snapshot()
+	return s.viewLocked()
+}
+
+// viewLocked returns the shared view of the current state, taking it
+// if no reader has since the last Apply.
+func (s *Session) viewLocked() *storage.Instance {
+	if s.view == nil {
+		s.view = s.planInstance().Snapshot()
 	}
-	return s.chase.Instance().Snapshot()
+	return s.view
+}
+
+// Retire hands the session's live instances to the snapshots still
+// holding them (see storage.Instance.Retire), for an owner that drops
+// the session while its snapshots live on.
+func (s *Session) Retire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chase.Instance().Retire()
+	if s.eval != nil {
+		s.eval.Instance().Retire()
+	}
 }
 
 // Violations returns the session's cumulative constraint violations.
@@ -415,15 +444,9 @@ func (s *Session) Violations() []chase.Violation {
 func (s *Session) State() (*storage.Instance, []chase.Violation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var inst *storage.Instance
-	if s.eval != nil {
-		inst = s.eval.Instance().Snapshot()
-	} else {
-		inst = s.chase.Instance().Snapshot()
-	}
 	out := make([]chase.Violation, len(s.chase.Result().Violations))
 	copy(out, s.chase.Result().Violations)
-	return inst, out
+	return s.viewLocked(), out
 }
 
 // ChaseResult returns the cumulative chase statistics. The contained

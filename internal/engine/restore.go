@@ -8,16 +8,20 @@ import (
 	"repro/internal/storage"
 )
 
-// Export returns the session's durable state: a frozen copy-on-write
-// snapshot of the chased instance plus the portable chase counters
-// (chase.Restored). The derived quality layer is intentionally not
-// exported — it is a deterministic function of the chased instance and
-// is rebuilt on restore. Export is cheap (O(relations + interned
-// terms)) and safe to call concurrently with readers; it serializes
-// with Apply on the session lock.
+// Export returns the session's durable state: a frozen snapshot of the
+// chased instance plus the portable chase counters (chase.Restored).
+// The derived quality layer is intentionally not exported — it is a
+// deterministic function of the chased instance and is rebuilt on
+// restore. Export is cheap (O(relations + interned terms)) and safe to
+// call concurrently with readers; it serializes with Apply on the
+// session lock. Without a derived layer the chased instance is what
+// Snapshot views, and Export shares that view.
 func (s *Session) Export() (*storage.Instance, chase.Restored) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.eval == nil {
+		return s.viewLocked(), s.chase.Export()
+	}
 	return s.chase.Instance().Snapshot(), s.chase.Export()
 }
 

@@ -3,8 +3,10 @@
 // that changed anything) produces a monotonically numbered version
 // carrying its WAL sequence, wall time, violation state and the
 // departure score of every versioned relation. The newest N versions
-// additionally retain a frozen copy-on-write snapshot of the full
-// contextual instance, so as-of reads at those versions are O(1);
+// additionally retain a frozen snapshot of the full contextual
+// instance (a row watermark over the live storage, see
+// storage.Instance.Snapshot), so as-of reads at those versions are
+// O(1);
 // older versions keep only their metadata — a durable serving layer
 // reconstructs their instances by WAL replay from the nearest retained
 // on-disk snapshot (see persist.ReadSessionAt).
@@ -16,6 +18,7 @@ package history
 
 import (
 	"time"
+	"unsafe"
 
 	"repro/internal/qerr"
 	"repro/internal/storage"
@@ -82,7 +85,7 @@ type Version struct {
 	// measure at this version.
 	Scores map[string]Score `json:"scores,omitempty"`
 	// Rows is the contextual instance's total tuple count at this
-	// version, the basis of the ring's byte accounting.
+	// version.
 	Rows int `json:"rows,omitempty"`
 }
 
@@ -95,9 +98,17 @@ type Entry struct {
 	// Violations is the cumulative violation list at this version
 	// (Version.Violations is its length).
 	Viol []qerr.Violation
-	// bytes is the estimated marginal memory this entry retains beyond
-	// its predecessor (interner fork + new tuple rows).
-	bytes int64
+}
+
+// retained is the memory the entry keeps alive: the entry itself, its
+// violation list, and what its snapshot holds beyond the live instance
+// (storage.Instance.RetainedBytes — it grows as the writer moves on).
+func (e *Entry) retained() int64 {
+	b := int64(unsafe.Sizeof(*e)) + int64(cap(e.Viol))*int64(unsafe.Sizeof(qerr.Violation{}))
+	if e.Inst != nil {
+		b += e.Inst.RetainedBytes()
+	}
+	return b
 }
 
 // Ring is the bounded version history of one session.
@@ -106,12 +117,11 @@ type Ring struct {
 	maxBytes int64
 	metas    []Version // every known version, ascending Seq
 	entries  []*Entry  // retained snapshots, ascending Seq (suffix of metas)
-	bytes    int64     // sum of retained entry costs
 }
 
 // New builds a ring retaining up to depth snapshots (0 = DefaultDepth,
 // minimum 1 — the latest version is always retained) within maxBytes
-// of estimated snapshot memory (0 = unbounded).
+// of retained memory (see RetainedBytes; 0 = unbounded).
 func New(depth int, maxBytes int64) *Ring {
 	if depth == 0 {
 		depth = DefaultDepth
@@ -122,36 +132,17 @@ func New(depth int, maxBytes int64) *Ring {
 	return &Ring{depth: depth, maxBytes: maxBytes}
 }
 
-// estimateBytes prices one retained snapshot: the forked interner
-// (every snapshot forks the full term table) plus the rows added since
-// the previous version (tuple cells are int32; arena rows are shared
-// copy-on-write with the live instance, so only growth is marginal).
-func estimateBytes(inst *storage.Instance, rows, prevRows int) int64 {
-	const termCost = 32 // interned term: string header + kind + table slot
-	const cellCost = 4  // one int32 tuple cell
-	b := int64(inst.Interner().Len()) * termCost
-	if grown := rows - prevRows; grown > 0 {
-		b += int64(grown) * 3 * cellCost // ~3 columns per contextual row
-	}
-	return b
-}
-
 // Record appends the next version. The entry's Version.Seq must be
 // NextSeq(); metadata is kept forever, the instance joins the retained
 // suffix and the oldest retained entries beyond the depth/byte bounds
 // are released (the newest entry always survives).
 func (r *Ring) Record(e *Entry) {
-	prevRows := 0
-	if n := len(r.metas); n > 0 {
-		prevRows = r.metas[n-1].Rows
-	}
-	e.bytes = estimateBytes(e.Inst, e.Rows, prevRows)
 	r.metas = append(r.metas, e.Version)
 	r.entries = append(r.entries, e)
-	r.bytes += e.bytes
+	total := r.RetainedBytes()
 	for len(r.entries) > 1 &&
-		(len(r.entries) > r.depth || (r.maxBytes > 0 && r.bytes > r.maxBytes)) {
-		r.bytes -= r.entries[0].bytes
+		(len(r.entries) > r.depth || (r.maxBytes > 0 && total > r.maxBytes)) {
+		total -= r.entries[0].retained()
 		r.entries[0] = nil
 		r.entries = r.entries[1:]
 	}
@@ -178,13 +169,7 @@ func (r *Ring) Seed(metas []Version, e *Entry) {
 		// let the restored state supply what the header lacks.
 		e.Version = r.metas[n-1]
 	}
-	prevRows := 0
-	if n := len(r.metas); n > 1 {
-		prevRows = r.metas[n-2].Rows
-	}
-	e.bytes = estimateBytes(e.Inst, e.Rows, prevRows)
 	r.entries = append(r.entries[:0], e)
-	r.bytes = e.bytes
 }
 
 // NextSeq is the sequence number the next recorded version must carry.
@@ -294,5 +279,17 @@ func (r *Ring) Attribute(v qerr.Violation) (Version, bool) {
 	return Version{}, false
 }
 
-// RetainedBytes is the ring's current estimated snapshot memory.
-func (r *Ring) RetainedBytes() int64 { return r.bytes }
+// RetainedBytes is the memory the retained entries keep alive: each
+// entry's violation list plus what its snapshot holds beyond the live
+// instance — the forked interner and every array, table and posting
+// list the writer has replaced since (storage.Instance.RetainedBytes).
+// Evicting the oldest entry frees about its share. The value grows
+// between records as the writer replaces structures the newest entry
+// still holds.
+func (r *Ring) RetainedBytes() int64 {
+	var b int64
+	for _, e := range r.entries {
+		b += e.retained()
+	}
+	return b
+}

@@ -2,9 +2,12 @@ package history
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/datalog"
 	"repro/internal/qerr"
 	"repro/internal/storage"
 )
@@ -143,4 +146,64 @@ func TestRingSeed(t *testing.T) {
 	if got := r2.NextSeq(); got != 6 {
 		t.Fatalf("NextSeq after bare seed = %d, want 6", got)
 	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRetainedBytesTracksHeap checks the ring's accounting against the
+// runtime: a live instance grows version by version (appends that
+// outgrow the snapshots' tables and lists, new terms for the interner
+// forks, one merge that rewrites the relation) while a depth-4 ring
+// records each version and evicts the oldest. At several points the
+// heap the ring holds — measured by dropping it — must be within 2× of
+// what RetainedBytes reported.
+func TestRetainedBytesTracksHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates ~100 MB")
+	}
+	for _, versions := range []int{3, 7, 12} {
+		db, ring := growRing(versions)
+		reported := ring.RetainedBytes()
+		with := liveHeap()
+		runtime.KeepAlive(ring) // the ring is live up to here, and only up to here
+		held := with - liveHeap()
+		runtime.KeepAlive(db)
+		t.Logf("%2d versions: RetainedBytes %8d, heap held by the ring %8d", versions, reported, held)
+		if held < reported/2 || held > 2*reported {
+			t.Errorf("after %d versions the ring holds %d heap bytes but reports %d", versions, held, reported)
+		}
+	}
+}
+
+// growRing builds the instance and ring of TestRetainedBytesTracksHeap
+// after the given number of versions.
+func growRing(versions int) (*storage.Instance, *Ring) {
+	term := func(i int) datalog.Term { return datalog.C(fmt.Sprintf("t%d", i)) }
+	db := storage.NewInstance()
+	insert := func(from, to int) {
+		for i := from; i < to; i++ {
+			db.MustInsert("R", term(i), term(i%5000), term(i%17))
+		}
+	}
+	ring := New(4, 0)
+	record := func() {
+		ring.Record(&Entry{Version: Version{Seq: ring.NextSeq()}, Inst: db.Snapshot()})
+	}
+	insert(0, 40_000)
+	record()
+	for v := 1; v < versions; v++ {
+		insert(40_000+(v-1)*6_000, 40_000+v*6_000)
+		if v == 5 {
+			db.ReplaceTerm(term(3), term(4)) // rewrites the relation
+		}
+		record()
+	}
+	return db, ring
 }

@@ -88,9 +88,9 @@ type Config struct {
 	// history.DefaultDepth, a negative value disables version history
 	// entirely (Session.At and friends then fail).
 	HistoryDepth int
-	// HistoryBytes caps the estimated memory of the retained version
-	// snapshots per session (0 = no byte bound). The newest version is
-	// always retained.
+	// HistoryBytes caps the memory the retained version snapshots of a
+	// session keep alive beyond its live state (Session.RetainedBytes;
+	// 0 = no byte bound). The newest version is always retained.
 	HistoryBytes int64
 	// Parallelism bounds the worker pool assessments fan chase and
 	// eval rounds out across: 0 resolves to runtime.GOMAXPROCS(0)
@@ -552,6 +552,11 @@ type Session struct {
 	// hist is the bounded version history behind the as-of read path
 	// (nil when Config.HistoryDepth is negative). Guarded by mu.
 	hist *history.Ring
+	// scored carries the departure counts of the last recorded version
+	// per versioned relation (see scoresLocked); nil after anything
+	// that rewrites the contextual instance rather than appending to
+	// it. Guarded by mu.
+	scored map[string]*scoreCursor
 }
 
 // Apply extends the assessment with a batch of new ground facts —
@@ -565,6 +570,9 @@ func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*engine.Appl
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res, err := s.eng.Apply(ctx, delta)
+	if err != nil || res.Rebuilt || res.Merged > 0 {
+		s.scored = nil // the contextual instance may have been rewritten
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -620,11 +628,17 @@ func (s *Session) recordVersionLocked(batch int) {
 
 // scoresLocked computes the departure measure of every versioned
 // relation against the given contextual snapshot — count-only (no
-// materialized rename), so the per-apply recording cost stays linear
-// in the version relations' sizes.
+// materialized rename). Between rewrites both the original relation
+// and its version only grow by appends, so the counts carry over from
+// the previous version (s.scored) and only the rows appended since are
+// scored; a nil s.scored (a new session, or a rewrite reset it)
+// recounts in full.
 func (s *Session) scoresLocked(inst *storage.Instance) map[string]history.Score {
 	if len(s.prep.vorder) == 0 {
 		return nil
+	}
+	if s.scored == nil {
+		s.scored = map[string]*scoreCursor{}
 	}
 	scores := make(map[string]history.Score, len(s.prep.vorder))
 	for _, rel := range s.prep.vorder {
@@ -636,18 +650,44 @@ func (s *Session) scoresLocked(inst *storage.Instance) map[string]history.Score 
 		if def := s.prep.versions[rel]; def != nil {
 			vrel = inst.Relation(def.pred)
 		}
-		m := Measure{Original: orig.Len()}
-		if vrel != nil {
-			m.Quality = vrel.Len()
-			for _, tup := range vrel.Tuples() {
-				if orig.Schema().Arity() == len(tup) && orig.Contains(tup) {
-					m.Intersection++
-				}
-			}
+		c := s.scored[rel]
+		if c == nil {
+			c = &scoreCursor{}
+			s.scored[rel] = c
 		}
-		scores[rel] = history.Score{Original: m.Original, Quality: m.Quality, Intersection: m.Intersection}
+		c.advance(orig, vrel)
+		scores[rel] = history.Score{Original: orig.Len(), Quality: c.vrows, Intersection: c.inter}
 	}
 	return scores
+}
+
+// scoreCursor carries one versioned relation's intersection count
+// |D ∩ D^q| from version to version.
+type scoreCursor struct {
+	orows, vrows int // rows of D and of D^q counted so far
+	inter        int
+}
+
+// advance counts the rows appended to orig (D) and vrel (D^q, nil when
+// absent) since the last call. Every common tuple is counted once:
+// a new version row when D holds it, a new original row when the
+// version held it before this call.
+func (c *scoreCursor) advance(orig, vrel *storage.Relation) {
+	arity := orig.Schema().Arity()
+	if vrel != nil {
+		for _, tup := range vrel.Tuples()[c.vrows:] {
+			if arity == len(tup) && orig.Contains(tup) {
+				c.inter++
+			}
+		}
+		for _, tup := range orig.Tuples()[c.orows:] {
+			if i := vrel.IndexOf(tup); i >= 0 && i < c.vrows {
+				c.inter++
+			}
+		}
+		c.vrows = vrel.Len()
+	}
+	c.orows = orig.Len()
 }
 
 // History returns the metadata of every version the session knows
@@ -681,6 +721,18 @@ func (s *Session) OldestRetained() (uint64, bool) {
 		return 0, false
 	}
 	return s.hist.OldestRetained()
+}
+
+// RetainedBytes is the memory the session's version ring keeps alive
+// beyond the live state (history.Ring.RetainedBytes); 0 when history
+// is disabled.
+func (s *Session) RetainedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.hist == nil {
+		return 0
+	}
+	return s.hist.RetainedBytes()
 }
 
 // ErrHistoryDisabled marks versioned reads on a session whose context

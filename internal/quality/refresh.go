@@ -105,6 +105,9 @@ func (s *Session) Refresh(ctx context.Context) (*RefreshResult, error) {
 		res.Changed, res.Rebuilt = true, true
 	case len(added) > 0:
 		ar, err := s.eng.Apply(ctx, added)
+		if err != nil || ar.Rebuilt || ar.Merged > 0 {
+			s.scored = nil // the contextual instance may have been rewritten
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -149,6 +152,7 @@ func (s *Session) rebuildLocked(ctx context.Context, snaps map[string]*source.Sn
 		return err
 	}
 	s.priorRounds += s.eng.ChaseResult().Rounds
-	s.eng = eng
+	s.eng.Retire() // the version ring's snapshots now hold it alone
+	s.eng, s.scored = eng, nil
 	return nil
 }

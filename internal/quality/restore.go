@@ -13,7 +13,7 @@ import (
 
 // Export returns the session's durable state — the chased contextual
 // instance, the raw applied facts backing the departure measures, and
-// the chase counters — as frozen copy-on-write snapshots. It is the
+// the chase counters — as frozen snapshots. It is the
 // quality-level counterpart of engine.Session.Export, and what the
 // persistence layer encodes into a snapshot file. Export serializes
 // with Apply on the session lock and is cheap: O(relations + interned

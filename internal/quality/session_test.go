@@ -8,6 +8,7 @@ import (
 	dl "repro/internal/datalog"
 	"repro/internal/eval"
 	"repro/internal/gen"
+	"repro/internal/quality"
 	"repro/internal/storage"
 )
 
@@ -252,4 +253,60 @@ func TestAssessCancellation(t *testing.T) {
 	if _, err := wl.Base.Context.Assess(context.Background(), wl.Base.Instance); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestVersionScoresMatchRecount pins the incremental version scores:
+// the departure measure recorded with every version (carried over from
+// the previous version and advanced by the appended rows only) equals
+// a full recount over the session's state at that version — including
+// after a batch of duplicates and an empty batch.
+func TestVersionScoresMatchRecount(t *testing.T) {
+	ctx := context.Background()
+	wl := streamWorkload(t, gen.StreamSpec{
+		Base:         gen.QualitySpec{Patients: 24, Days: 3, Wards: 2, DirtyRatio: 0.5, Seed: 23},
+		TickPatients: 4,
+	})
+	p, err := wl.Base.Context.Prepare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.NewSession(ctx, wl.Base.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		v, ok := sess.LatestVersion()
+		if !ok {
+			t.Fatal("history must be on")
+		}
+		a, err := sess.Assessment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rel, m := range a.Measures {
+			sc := v.Scores[rel]
+			if got := (quality.Measure{Original: sc.Original, Quality: sc.Quality, Intersection: sc.Intersection}); got != m {
+				t.Fatalf("%s: version %d scores %s as %+v, recount %+v", label, v.Seq, rel, got, m)
+			}
+		}
+	}
+	check("initial")
+	var last []dl.Atom
+	for i := 0; i < 6; i++ {
+		delta, _ := wl.Tick(i)
+		if _, err := sess.Apply(ctx, delta); err != nil {
+			t.Fatal(err)
+		}
+		check("tick")
+		last = delta
+	}
+	if _, err := sess.Apply(ctx, last); err != nil { // all duplicates
+		t.Fatal(err)
+	}
+	check("duplicates")
+	if _, err := sess.Apply(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("empty")
 }

@@ -239,7 +239,7 @@ func (s *Server) evict(victim *session) bool {
 
 // snapJob is a pending snapshot captured atomically with the apply
 // that triggered it: the sealed-WAL covered sequence and a frozen
-// copy-on-write export of exactly that state. Encoding and writing
+// snapshot export of exactly that state. Encoding and writing
 // happen outside the session lock (between NDJSON batches), so
 // appends keep flowing into the fresh segment meanwhile.
 type snapJob struct {

@@ -115,9 +115,10 @@ func (m *metrics) observe(context, op string, d time.Duration) {
 }
 
 // render writes the Prometheus-style text exposition: counters first,
-// then the p50/p99 latency quantiles, contexts and ops in fixed sorted
-// order so scrapes are stable.
-func (m *metrics) render(b *strings.Builder) {
+// then the gauges — retained is the history memory per context (see
+// Server.historyRetained) — and the p50/p99 latency quantiles,
+// contexts and ops in fixed sorted order so scrapes are stable.
+func (m *metrics) render(b *strings.Builder, retained map[string]int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	names := make([]string, 0, len(m.contexts))
@@ -218,6 +219,10 @@ func (m *metrics) render(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE mdserve_sessions_open gauge\n")
 	for _, name := range names {
 		fmt.Fprintf(b, "mdserve_sessions_open{context=%q} %d\n", name, m.contexts[name].sessionsOpen)
+	}
+	fmt.Fprintf(b, "# TYPE mdserve_history_retained_bytes gauge\n")
+	for _, name := range names {
+		fmt.Fprintf(b, "mdserve_history_retained_bytes{context=%q} %d\n", name, retained[name])
 	}
 	fmt.Fprintf(b, "# TYPE mdserve_request_latency_seconds summary\n")
 	for _, name := range names {

@@ -100,7 +100,7 @@ func (s *Server) refreshSession(ctx context.Context, sess *session, revive bool)
 	// with the version the rebuild recorded (version seq == WAL seq is
 	// the time-travel invariant), and replaying it is a no-op under set
 	// semantics. Then rotate and snapshot synchronously (still under
-	// sess.mu — refresh is rare and the export is copy-on-write).
+	// sess.mu — refresh is rare and the export is a cheap snapshot).
 	if _, err := sess.log.Append(nil); err != nil {
 		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
 		return res, nil

@@ -12,7 +12,7 @@
 //     POST .../sessions/{id}/apply ingests NDJSON delta batches
 //     (each batch applied atomically through the incremental chase),
 //     GET .../sessions/{id}/answers?q= streams quality-query answers
-//     off a consistent copy-on-write snapshot, and
+//     off a consistent frozen snapshot, and
 //     GET .../sessions/{id}/assessment materializes the Figure 2
 //     outcome for the session's current state;
 //   - time travel: every applied batch produces a numbered session
@@ -446,6 +446,28 @@ func (s *Server) sessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
+}
+
+// historyRetained sums, per context, the memory the version histories
+// of the resident sessions retain (mdqa.Session.RetainedBytes).
+// Evicted sessions hold no history in memory.
+func (s *Server) historyRetained() map[string]int64 {
+	s.mu.Lock()
+	all := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		all = append(all, sess)
+	}
+	s.mu.Unlock()
+	out := make(map[string]int64, len(s.names))
+	for _, sess := range all {
+		sess.mu.Lock() // lock order: sess.mu is never taken under Server.mu
+		ms := sess.s
+		sess.mu.Unlock()
+		if ms != nil {
+			out[sess.lc.name] += ms.RetainedBytes()
+		}
+	}
+	return out
 }
 
 // sessionsOf snapshots the sessions of one context in creation order

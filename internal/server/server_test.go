@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -358,6 +359,49 @@ func TestDoubleClose(t *testing.T) {
 	_, metrics := do(t, "GET", ts.URL+"/metrics", "")
 	if !strings.Contains(metrics, `mdserve_sessions_open{context="hospital"} 0`) {
 		t.Fatalf("gauge must read 0 after close, not negative:\n%s", metrics)
+	}
+}
+
+// TestHistoryRetainedGauge pins the per-context history-memory gauge:
+// 0 with no sessions, positive once a resident session has recorded
+// versions, 0 again after the session closes.
+func TestHistoryRetainedGauge(t *testing.T) {
+	ts := newHospitalServer(t)
+	gauge := func() int64 {
+		t.Helper()
+		_, metrics := do(t, "GET", ts.URL+"/metrics", "")
+		const prefix = `mdserve_history_retained_bytes{context="hospital"} `
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("gauge line %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no history gauge in:\n%s", metrics)
+		return 0
+	}
+	if got := gauge(); got != 0 {
+		t.Fatalf("gauge = %d with no sessions", got)
+	}
+	if status, body := do(t, "POST", ts.URL+"/v1/contexts/hospital/sessions", ""); status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, body)
+	}
+	base := ts.URL + "/v1/contexts/hospital/sessions/s1"
+	batch := `{"atoms":[{"pred":"Clock","args":["Sep/6-12:30","Sep/6"]},{"pred":"Measurements","args":["Sep/6-12:30","Tom Waits","37.3"]}]}` + "\n"
+	if status, body := do(t, "POST", base+"/apply", batch); status != http.StatusOK {
+		t.Fatalf("apply: %d %s", status, body)
+	}
+	if got := gauge(); got <= 0 {
+		t.Fatalf("gauge = %d with a resident session holding two versions", got)
+	}
+	if status, body := do(t, "DELETE", base, ""); status != http.StatusOK {
+		t.Fatalf("close: %d %s", status, body)
+	}
+	if got := gauge(); got != 0 {
+		t.Fatalf("gauge = %d after the only session closed", got)
 	}
 }
 

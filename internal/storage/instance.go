@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/datalog"
 )
@@ -21,6 +23,11 @@ type Instance struct {
 	// frozen marks an immutable snapshot (see Snapshot): relation
 	// creation and every tuple mutation fail.
 	frozen bool
+	// overhead is a snapshot's own memory: its forked interner and
+	// relation headers; costs are its relations' charge counters (see
+	// RetainedBytes).
+	overhead int64
+	costs    []*atomic.Int64
 }
 
 // NewInstance returns an empty instance.
@@ -179,30 +186,81 @@ func (db *Instance) Clone() *Instance {
 	return out
 }
 
-// Snapshot returns a frozen, immutable view of the instance that
-// shares tuple storage with the live relations (copy-on-write: the
-// first mutation of a live relation after a snapshot copies its
-// storage, so the snapshot's view never changes). The snapshot gets a
-// forked interner, so concurrent readers of the snapshot never race
-// with a writer interning new terms into the live instance. Taking a
-// snapshot is O(relations + interned terms), independent of the number
-// of tuples.
+// Snapshot returns a frozen, immutable view of the instance. Each
+// relation of the view is a row watermark over the live relation's
+// append-only storage (see Relation), so taking a snapshot is
+// O(relations + interned terms), independent of the number of tuples,
+// and the writes after it cost what they would without it. The
+// snapshot gets a forked interner, so concurrent readers of the
+// snapshot never race with a writer interning new terms into the live
+// instance. A snapshot of a snapshot is the snapshot itself.
 //
 // Concurrency contract: Snapshot must be called from the (single)
 // writer goroutine — or with the writer quiescent — after which the
 // snapshot may be read freely from any number of goroutines while the
 // writer keeps mutating the live instance.
 func (db *Instance) Snapshot() *Instance {
+	if db.frozen {
+		return db
+	}
 	out := &Instance{
 		relations: make(map[string]*Relation, len(db.relations)),
 		order:     append([]string(nil), db.order...),
 		in:        db.in.Fork(),
 		frozen:    true,
 	}
+	out.overhead = int64(out.in.Len()) * forkedTermBytes
+	out.costs = make([]*atomic.Int64, 0, len(db.order))
 	for _, name := range db.order {
-		out.relations[name] = db.relations[name].snapshot(out.in)
+		live := db.relations[name]
+		out.relations[name] = live.snapshot(out.in)
+		out.costs = append(out.costs, live.newest)
+		out.overhead += viewBytes(live.schema.Arity())
 	}
 	return out
+}
+
+// forkedTermBytes is the memory one interned term costs a forked
+// interner: its slot in the term table plus its entry in the id map
+// (the term's string data is shared, not copied).
+const forkedTermBytes = 80
+
+// viewBytes is the memory of one relation view of the given arity:
+// the relation header, its copies of the index headers and
+// statistics, its charge counter and its entries in the snapshot's
+// relation map, order and cost lists.
+func viewBytes(arity int) int64 {
+	const entries = 96
+	return int64(unsafe.Sizeof(Relation{})) + int64(arity)*(int64(unsafe.Sizeof(postingIndex{}))+16) + entries
+}
+
+// RetainedBytes reports the memory a snapshot keeps alive beyond the
+// live instance it was taken from: its forked interner and relation
+// headers, plus every array, table and posting list the writer has
+// since replaced while this snapshot was the newest to hold it (see
+// Relation.charge). Releasing snapshots oldest first, as the history
+// ring does, frees about this much. It is 0 on a live instance, and
+// it grows as the writer moves on.
+func (db *Instance) RetainedBytes() int64 {
+	if !db.frozen {
+		return 0
+	}
+	b := db.overhead
+	for _, c := range db.costs {
+		b += c.Load()
+	}
+	return b
+}
+
+// Retire tells the instance's snapshots that the owner is dropping
+// the live instance: every relation's full memory is charged to its
+// newest snapshot, which from now on holds it alone (see
+// RetainedBytes). Engines call it when they replace a live instance
+// that snapshots may still hold.
+func (db *Instance) Retire() {
+	for _, rel := range db.relations {
+		rel.retire()
+	}
 }
 
 // Frozen reports whether the instance is an immutable snapshot.

@@ -404,7 +404,7 @@ func (p *Plan) ExecuteShard(db *Instance, regs []int32, shard, nshards int, fn f
 	for i := lo; i < hi; i++ {
 		idx := i
 		if haveBucket {
-			idx = bucket[i]
+			idx = int(bucket[i])
 		}
 		if !p.tryRow(db, pa, 0, rel.rows[idx], regs, fn) {
 			return false
@@ -453,7 +453,7 @@ func (p *Plan) probeGround(rel *Relation, pa *planAtom, regs []int32) (member, o
 // ExecuteShard's partition, so a shard always slices exactly the list
 // exec would walk — the invariant the parallel engines' determinism
 // rests on.
-func (p *Plan) candidates(rel *Relation, pa *planAtom, regs []int32) (bucket []int, haveBucket bool) {
+func (p *Plan) candidates(rel *Relation, pa *planAtom, regs []int32) (bucket []int32, haveBucket bool) {
 	for _, pos := range pa.groundPos {
 		a := pa.args[pos]
 		id := a.id
@@ -463,7 +463,7 @@ func (p *Plan) candidates(rel *Relation, pa *planAtom, regs []int32) (bucket []i
 				continue // declared bound but not seeded: treat as free
 			}
 		}
-		b := rel.indexes[pos][id]
+		b := rel.postings(pos, id)
 		if !haveBucket || len(b) < len(bucket) {
 			bucket, haveBucket = b, true
 		}

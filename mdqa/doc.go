@@ -43,5 +43,5 @@
 // The facade wraps the internal engine packages without forking them:
 // Assess, sessions and snapshots all run on the prepared/incremental
 // execution path (compiled join plans over interned terms, semi-naive
-// delta chasing, copy-on-write snapshots) described in PERF.md.
+// delta chasing, watermark snapshots) described in PERF.md.
 package mdqa

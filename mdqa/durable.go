@@ -20,7 +20,7 @@ type SessionState = persist.SessionState
 type Interner = datalog.Interner
 
 // ExportState returns the session's durable state as frozen
-// copy-on-write snapshots: cheap, safe against concurrent readers, and
+// snapshots: cheap, safe against concurrent readers, and
 // serialized with Apply. Restoring the state (in this process or after
 // a restart) yields a session whose answers, assessments, violations
 // and chase counters are identical to this one's at export time.

@@ -65,8 +65,9 @@ func (s *Session) Apply(ctx context.Context, delta []Atom) (*ApplyResult, error)
 
 // Snapshot returns a frozen, consistent view of the contextual
 // instance as of the last Apply, for streaming reads. Snapshots are
-// cheap (copy-on-write) and safe to consume from any number of
-// goroutines while the writer keeps applying deltas.
+// cheap (a row watermark over storage the writer only appends to) and
+// safe to consume from any number of goroutines while the writer keeps
+// applying deltas.
 //
 // Snapshot is equivalent to View() with no options; use View to read
 // a historical version (At, AsOf) instead of the latest state.
@@ -77,6 +78,12 @@ func (s *Session) Snapshot() *Snapshot {
 
 // Violations returns the session's cumulative constraint violations.
 func (s *Session) Violations() []Violation { return s.s.Violations() }
+
+// RetainedBytes is the memory the session's version history keeps
+// alive beyond its live state: the retained snapshots' interner forks
+// and the storage the writer has replaced since they were taken (0
+// when history is disabled). WithHistoryBytes bounds this value.
+func (s *Session) RetainedBytes() int64 { return s.s.RetainedBytes() }
 
 // ChaseRounds returns the cumulative number of chase rounds the
 // session has run: the initial saturation plus every incremental

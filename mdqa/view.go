@@ -127,9 +127,10 @@ func WithHistoryDepth(depth int) Option {
 	return func(cfg *quality.Config) { cfg.HistoryDepth = depth }
 }
 
-// WithHistoryBytes caps the estimated memory of each session's
-// retained version snapshots; the oldest are evicted first and the
-// latest always survives. 0 leaves retention bounded by depth alone.
+// WithHistoryBytes caps the memory each session's retained version
+// snapshots keep alive beyond the live state (Session.RetainedBytes);
+// the oldest are evicted first and the latest always survives. 0
+// leaves retention bounded by depth alone.
 func WithHistoryBytes(n int64) Option {
 	return func(cfg *quality.Config) { cfg.HistoryBytes = n }
 }
